@@ -1,6 +1,7 @@
 """Hot-path performance benchmark: the PR-over-PR perf trajectory tracker.
 
-Times the layers the perf work targets -- the MX quantization kernel, the
+Times the layers the perf work targets -- the MX quantization kernel (per
+element on large tensors, per call on the small shapes a cell serves), the
 SGD training loop, the accelerator timing queries, stream materialization
 (naive vs vectorized vs memmap-open), a shared-stream grid slice vs the
 per-cell-materialization baseline, an end-to-end short Figure 9 cell with
@@ -124,16 +125,43 @@ def _clear_process_caches():
     get_store().clear()
 
 
+#: The calls the kernel actually serves in a fig9 cell: the four train-step
+#: operands (batch 16 at MX9, weights blocked along axis 0), which are most
+#: of its calls, and one 384-frame inference batch at MX6.  At a few hundred
+#: values each, their cost is per-call overhead, not arithmetic.
+QUANTIZE_CALLS = {
+    "train_act0_16x24_mx9": ((16, 24), MX9, -1),
+    "train_w0_24x16_axis0_mx9": ((24, 16), MX9, 0),
+    "train_act1_16x16_mx9": ((16, 16), MX9, -1),
+    "train_w1_16x10_axis0_mx9": ((16, 10), MX9, 0),
+    "infer_act0_384x24_mx6": ((384, 24), MX6, -1),
+}
+
+
+def _us_per_call(x, fmt, axis, calls) -> float:
+    def run():
+        for _ in range(calls):
+            quantize(x, fmt, axis=axis)
+
+    return _best_of(run) / calls * 1e6
+
+
 def bench_quantize() -> dict:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(256, 1024))
     w = rng.normal(size=(1024, 256))
     t_act = _best_of(lambda: quantize(x, MX6))
     t_w = _best_of(lambda: quantize(w, MX9, axis=0))
-    return {
+    report = {
         "activations_mx6_ns_per_elem": t_act / x.size * 1e9,
         "weights_axis0_mx9_ns_per_elem": t_w / w.size * 1e9,
     }
+    calls = 200 if QUICK else 2000
+    for name, (shape, fmt, axis) in QUANTIZE_CALLS.items():
+        report[f"{name}_us_per_call"] = _us_per_call(
+            rng.normal(size=shape), fmt, axis, calls
+        )
+    return report
 
 
 def bench_train_sgd() -> dict:

@@ -16,15 +16,45 @@ directions are exact integer/power-of-two arithmetic, so encode->decode is a
 pure function of the input bits -- there is no hidden floating-point fuzz
 beyond the quantization itself.
 
-:func:`quantize` (fake quantization, the learning substrate's hot path) runs
-a fused encode+decode: one pass over the block layout with in-place rounding
-/ clipping / rescaling and no integer round-trip, bit-identical to
-``dequantize(quantize_blocks(...))`` because every arithmetic step is the
-same power-of-two scaling in the same order.
+:func:`quantize_blocks` and :func:`dequantize` are the reference: they
+follow the steps above literally on a ``(*lead, blocks, block_size)`` layout.
+
+:func:`quantize` (fake quantization, the learning substrate's hot path) is
+a fused encode+decode that is bit-identical to
+``dequantize(quantize_blocks(...))``: every arithmetic step is the same
+power-of-two scaling in the same order, with no integer round-trip.  The
+learning substrate calls it tens of thousands of times per cell on blocks
+of a few hundred values, so its cost is the number of numpy calls, not
+arithmetic.  The kernel is laid out to make few, cheap calls:
+
+1. Layout.  The values are viewed in place as ``(sub-blocks, sub-block
+   size, trailing)``: the blocking axis need not be last, so a C-contiguous
+   input with no partial block is never copied or transposed.  A partial
+   block is zero-padded in one copy with the blocking axis moved last, and
+   a non-contiguous input is copied in its own memory order.  The result
+   is a view of that working array, sliced to drop the padding and with
+   its axes permuted back.
+2. Exponents.  One ``frexp`` gives every exponent (``floor(log2 |v|) + 1``,
+   exact for subnormals too); zeros get the minimum.  The ``+1`` offset is
+   kept throughout and undone by the scale base ``2 ** -m``.  The frexp
+   mantissa doubles as the NaN/Inf check: its sum is finite exactly when
+   every input is.
+3. Sub-block maxima with ``np.maximum`` of the 2-wide sub-block's element
+   slices.  A numpy reduction over a 2-wide axis runs its inner loop once
+   per pair, which cost several times the elementwise call; only the block
+   maximum (over the sub-block maxima) is a reduction.
+4. The 8-bit clamp of the shared exponent as an in-place
+   ``maximum``/``minimum`` pair, then the microexponent compare, then one
+   ``ldexp`` for the sub-block scales.  When the blocking axis is
+   innermost the scales are repeated to element width, so the divide and
+   multiply run contiguous instead of broadcasting over pairs.
+5. Divide, round-to-nearest-even, saturate, normalize ``-0.0``, multiply:
+   in place, in the buffer ``frexp`` allocated for the mantissas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,26 +298,93 @@ def quantize(values: np.ndarray, fmt: MXFormat, axis: int = -1) -> np.ndarray:
 
     This is the workhorse used by the learning substrate to expose MX
     precision effects to the proxy models without carrying packed tensors
-    around.  The encode and decode are fused: the rounded mantissa values
-    are rescaled in place, skipping the :class:`MXTensor` materialization
-    and its float64 -> int32 -> float64 round-trip.  Mantissa magnitudes
-    never exceed ``fmt.max_mantissa`` (< 2**53), so dropping the integer
-    cast is exact and the result is bit-identical to
-    ``dequantize(quantize_blocks(values, fmt, axis))``.
+    around.  The result is bit-identical to
+    ``dequantize(quantize_blocks(values, fmt, axis))``, down to the sign of
+    zeros; the module docstring lists the kernel's steps.
     """
-    arr, axis, grouped, length = _prepare_blocks(values, fmt, axis)
-    quantized, scales, _, _ = _encode_core(grouped, fmt, "nearest", None)
-    # The integer cast normalized negative zeros (round(-0.1) -> -0.0 ->
-    # int32 0 -> +0.0); adding +0.0 reproduces that exactly (IEEE-754:
-    # -0.0 + 0.0 == +0.0, every other finite value is unchanged).
-    np.add(quantized, 0.0, out=quantized)
-    decoded = np.multiply(quantized, scales[..., None], out=quantized)
+    arr = ensure_float(values)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    ndim = arr.ndim
+    axis = _normalize_axis(axis, ndim)
+    length = arr.shape[axis]
+    if length == 0:
+        raise QuantizationError("cannot quantize along an empty axis")
+    blocks = -(-length // fmt.block_size)
+    padded_len = blocks * fmt.block_size
 
-    flat = decoded.reshape(*grouped.shape[:-2], -1)
-    flat = flat[..., :length]
-    if axis == arr.ndim - 1:
-        return flat.reshape(arr.shape)
-    moved_shape = list(arr.shape)
-    moved_shape.append(moved_shape.pop(axis))
-    flat = flat.reshape(moved_shape)
-    return np.moveaxis(flat, -1, axis)
+    # ``work`` is a C-contiguous array holding ``arr`` with its axes permuted
+    # by ``order`` (None: not permuted); ``pos`` is the blocking axis in it.
+    order = None
+    if padded_len != length:
+        # Zero-pad in a copy with the blocking axis last.
+        if axis != ndim - 1:
+            order = (*range(axis), *range(axis + 1, ndim), axis)
+            arr = arr.transpose(order)
+        work = np.zeros((*arr.shape[:-1], padded_len), dtype=arr.dtype)
+        work[..., :length] = arr
+        pos = ndim - 1
+    elif arr.flags.c_contiguous:
+        work = arr
+        pos = axis
+    else:
+        # Compute in the input's memory order, so the result keeps its layout.
+        strides = arr.strides
+        order = tuple(sorted(range(ndim), key=lambda i: -abs(strides[i])))
+        work = np.ascontiguousarray(arr.transpose(order))
+        pos = order.index(axis)
+    shape = work.shape
+    subblocks = fmt.subblocks_per_block
+    size = fmt.subblock_size
+    post = math.prod(shape[pos + 1:])
+    nsub = math.prod(shape[:pos]) * blocks * subblocks
+    grouped = work.reshape(nsub, size, post)
+
+    # frexp exponents are floor(log2 |v|) + 1; every exponent below stays
+    # offset by that +1 (zeros included), which the scale base undoes.
+    mantissas, exps = np.frexp(grouped)
+    # |mantissa| < 1 for finite input, so the sum is finite unless a value
+    # is NaN or Inf (frexp passes those through as the mantissa).
+    if not math.isfinite(mantissas.sum()):
+        raise QuantizationError("MX cannot encode NaN or Inf values")
+    exps[mantissas == 0.0] = MIN_SHARED_EXPONENT + 1
+    sub_max = exps[:, 0]
+    if size > 1:
+        sub_max = np.maximum(sub_max, exps[:, 1])
+        for k in range(2, size):
+            np.maximum(sub_max, exps[:, k], out=sub_max)
+    sub_max = sub_max.reshape(nsub // subblocks, subblocks, post)
+    shared = np.maximum.reduce(sub_max, axis=1, keepdims=True)
+    np.maximum(shared, MIN_SHARED_EXPONENT + 1, out=shared)
+    np.minimum(shared, MAX_SHARED_EXPONENT + 1, out=shared)
+    # Microexponent bit set: the sub-block scales one binade lower.
+    scale_exp = shared - (sub_max < shared)
+    scales = np.ldexp(
+        grouped.dtype.type(0.5**fmt.mantissa_bits),
+        scale_exp.reshape(nsub, 1, post),
+    )
+    if size > 1 and post == 1:
+        # Broadcasting over the innermost sub-block axis would run numpy's
+        # inner loop once per pair; a repeated scale runs contiguous.
+        scales = scales.repeat(size, axis=1)
+
+    # The mantissas are spent: their buffer takes the result.
+    quantized = np.divide(grouped, scales, out=mantissas)
+    np.rint(quantized, out=quantized)
+    limit = float(fmt.max_mantissa)
+    # clip == minimum(maximum(x, lo), hi); the two in-place ufunc calls skip
+    # np.clip's scalar-bound promotion machinery on this hot path.
+    np.maximum(quantized, -limit, out=quantized)
+    np.minimum(quantized, limit, out=quantized)
+    # The reference's integer cast normalizes negative zeros (round(-0.1) ->
+    # -0.0 -> int32 0 -> +0.0); adding +0.0 reproduces that exactly
+    # (IEEE-754: -0.0 + 0.0 == +0.0, every other finite value is unchanged).
+    np.add(quantized, 0.0, out=quantized)
+    np.multiply(quantized, scales, out=quantized)
+
+    out = quantized.reshape(shape)
+    if padded_len != length:
+        out = out[..., :length]
+    if order is None:
+        return out
+    return out.transpose(sorted(range(ndim), key=order.__getitem__))

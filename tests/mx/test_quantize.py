@@ -150,6 +150,25 @@ class TestErrors:
         with pytest.raises(QuantizationError):
             quantize(np.array([np.inf] + [0.0] * 15), MX9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_axis0_and_float32(self, dtype, bad):
+        # The NaN/Inf check rides on the kernel's frexp pass: it must fire
+        # for weights blocked along axis 0 (padded and unpadded), a stacked
+        # bank blocked along its middle axis, and single-precision input.
+        for shape, axis, index in (
+            ((16,), -1, (9,)),
+            ((24, 16), 0, (17, 3)),
+            ((32, 10), 0, (0, 9)),
+            ((3, 24, 16), 1, (2, 23, 15)),
+        ):
+            x = np.zeros(shape, dtype=dtype)
+            x[index] = bad
+            with pytest.raises(QuantizationError):
+                quantize(x, MX6, axis=axis)
+            with pytest.raises(QuantizationError):
+                quantize_blocks(x, MX6, axis=axis)
+
     def test_bad_axis_rejected(self):
         with pytest.raises(QuantizationError):
             quantize(np.zeros((4, 4)), MX9, axis=2)

@@ -126,14 +126,74 @@ def test_clamped_binade_saturates():
     )
 
 
-@given(vectors, formats)
-@settings(max_examples=200, deadline=None)
-def test_fused_quantize_matches_encode_decode_bitwise(x, fmt):
+#: Magnitudes that clamp the shared exponent at MIN_SHARED_EXPONENT: zeros,
+#: values below ``2 ** MIN_SHARED_EXPONENT`` and subnormals.
+_CLAMPED_MAX = 2.0 ** (MIN_SHARED_EXPONENT - 1)
+
+
+@st.composite
+def fake_quantize_cases(draw):
+    """``(x, axis)`` covering every layout the fused kernel distinguishes.
+
+    float32 and float64; 1-3 dimensions blocked along any axis (axis 0 is
+    the weight layout, axis 1 of a 3-D array a stacked ``(K, in, out)``
+    bank); C-contiguous, Fortran-ordered, transposed and strided views;
+    magnitudes up to the dtype's max/8 (float64 reaches the 2**127 clamp);
+    and optionally a leading block of zeros and subnormals whose shared
+    exponent clamps at ``MIN_SHARED_EXPONENT``, with an all-zero sub-block.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    big = float(np.finfo(dtype).max) / 8
+    tiny = st.floats(-_CLAMPED_MAX, _CLAMPED_MAX, width=width)
+    elements = st.one_of(
+        st.floats(-big, big, width=width),
+        st.floats(-1e3, 1e3, width=width),
+        tiny,
+        st.sampled_from([0.0, -0.0]),
+    )
+    ndim = draw(st.integers(min_value=1, max_value=3))
+    shape = draw(
+        hnp.array_shapes(
+            min_dims=ndim, max_dims=ndim, min_side=1,
+            max_side=70 if ndim == 1 else 20,
+        )
+    )
+    x = draw(hnp.arrays(dtype=dtype, shape=shape, elements=elements))
+    axis = draw(st.integers(min_value=-ndim, max_value=ndim - 1))
+    if draw(st.booleans()):
+        block = draw(st.lists(tiny, min_size=16, max_size=16))
+        block[:2] = [0.0, -0.0]
+        n = min(16, shape[axis])
+        profile = [1] * ndim
+        profile[axis] = n
+        index = [slice(None)] * ndim
+        index[axis] = slice(0, n)
+        x[tuple(index)] = np.array(block[:n], dtype=dtype).reshape(profile)
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "transposed":
+        x = np.ascontiguousarray(x.T).T
+    elif layout == "strided":
+        host = np.zeros(tuple(2 * n for n in shape), dtype=dtype)
+        view = host[(slice(None, None, 2),) * ndim]
+        view[...] = x
+        x = view
+    return x, axis
+
+
+@given(fake_quantize_cases(), formats)
+@settings(max_examples=300, deadline=None)
+def test_fused_quantize_matches_encode_decode_bitwise(case, fmt):
     # The fused fake-quantize must equal the explicit encode/decode path to
     # the last bit -- including the sign of zeros, which array_equal would
     # not catch (the int32 round-trip normalizes -0.0 to +0.0).
-    fused = quantize(x, fmt)
-    reference = dequantize(quantize_blocks(x, fmt))
+    x, axis = case
+    fused = quantize(x, fmt, axis=axis)
+    reference = dequantize(quantize_blocks(x, fmt, axis=axis), dtype=x.dtype)
+    assert fused.dtype == x.dtype
+    assert fused.shape == x.shape
     assert fused.tobytes() == reference.tobytes()
 
 

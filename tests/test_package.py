@@ -49,6 +49,44 @@ def test_version_matches_pyproject():
     assert repro.__version__ == declared
 
 
+def test_third_party_imports_are_declared():
+    # A clean install gets only the declared dependencies, so every
+    # third-party package imported anywhere under src/repro must be listed
+    # in pyproject.toml's [project] dependencies.
+    import ast
+    import pathlib
+    import re
+    import sys
+
+    import repro
+
+    package = pathlib.Path(repro.__file__).parent
+    text = (package.parents[1] / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    declared = {
+        re.split(r"[\s\[<>=!~;]", req, maxsplit=1)[0].lower().replace("-", "_")
+        for req in re.findall(r'"([^"]+)"', deps)
+    }
+    undeclared = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if (
+                    top != "repro"
+                    and top not in sys.stdlib_module_names
+                    and top.lower() not in declared
+                ):
+                    undeclared.setdefault(top, path.relative_to(package))
+    assert not undeclared, f"imported but not declared: {undeclared}"
+
+
 def test_public_entry_points_exist():
     from repro.core import build_system, run_on_scenario, validate_run
     from repro.experiments import run_experiment
