@@ -51,10 +51,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro import profiling
+from repro.batching import use_batching
 from repro.core import (
     SYSTEM_BUILDERS,
     build_system,
@@ -72,6 +72,7 @@ from repro.experiments import (
     supports_jobs,
 )
 from repro.models import MODEL_PAIRS
+from repro.share.policy import use_sharing
 from repro.sweep import compile_plan, load_spec, run_sweep, write_outputs
 
 
@@ -106,7 +107,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         # The ambient override is how the transport reaches runners that
         # simply call run_cells(cells, jobs=...): no per-runner plumbing.
-        with use_backend(args.backend) if args.backend else nullcontext():
+        with use_backend(args.backend):
             result = run_experiment(args.id, **kwargs)
     finally:
         if profiler is not None:
@@ -136,37 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sharing_context(cli_value: str | None, spec_value: str | None):
-    """The sharing override a command runs under.
-
-    Precedence: explicit ``--sharing`` > the spec's ``[sweep] sharing`` >
-    ambient (``$REPRO_SHARING`` / off, which needs no override installed).
-    """
-    from contextlib import nullcontext
-
-    from repro.share.policy import resolve_sharing, use_sharing
-
-    chosen = cli_value if cli_value is not None else spec_value
-    if chosen is None:
-        return nullcontext()
-    return use_sharing(resolve_sharing(chosen))
-
-
-def _batch_context(cli_value: str | None):
-    """The batching override a command runs under.
-
-    Precedence: explicit ``--batch`` > ambient (``$REPRO_BATCH`` / off,
-    which needs no override installed).
-    """
-    from contextlib import nullcontext
-
-    from repro.batching import resolve_batching, use_batching
-
-    if cli_value is None:
-        return nullcontext()
-    return use_batching(resolve_batching(cli_value))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     plan = compile_plan(spec)
@@ -175,9 +145,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Same contract as run_cells; checked here so --plan rejects an
         # invalid --jobs too instead of silently pricing at one worker.
         raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    with _sharing_context(args.sharing, spec.sharing), _batch_context(
-        args.batch
-    ):
+    sharing = args.sharing if args.sharing is not None else spec.sharing
+    with use_sharing(sharing), use_batching(args.batch):
         if args.plan:
             # Price the plan through the same backend resolution the real
             # run uses (explicit --backend > ambient REPRO_BACKEND >
@@ -241,7 +210,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         control_port=args.control,
         degrade=not args.no_degrade,
         stay=args.stay,
-        window_mode=args.window_mode,
     )
     group = plan.groups[0]
     print(
@@ -249,9 +217,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"speedup={args.speedup:g} window={args.window:g}s",
         flush=True,
     )
-    with use_policy(group.policy), _sharing_context(
-        args.sharing, spec.sharing
-    ), _batch_context(args.batch):
+    sharing = args.sharing if args.sharing is not None else spec.sharing
+    with use_policy(group.policy), use_sharing(sharing), use_batching(
+        args.batch
+    ):
         service = FleetService(config, cells)
         code = service.run()
     print(f"session journal: {args.out}/session.jsonl")
@@ -411,14 +380,6 @@ def main(argv: list[str] | None = None) -> int:
                               "dispatch as one batched shard instead of "
                               "K singletons, bit-identically; overrides "
                               "$REPRO_BATCH")
-    p_serve.add_argument("--window-mode", default=None,
-                         choices=["incremental", "prefix"],
-                         help="incremental (default; resume each window "
-                              "from the previous window's run-state "
-                              "snapshot) or prefix (stateless full-"
-                              "prefix recompute); both journal "
-                              "byte-identical window records; default "
-                              "honours $REPRO_WINDOW_MODE")
 
     p_worker = sub.add_parser(
         "worker",

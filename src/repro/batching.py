@@ -16,9 +16,9 @@ that is byte-identical to the pre-batching tree is part of the contract:
   Per-cell results are bit-identical to the serial path and pinned in
   ``tests/reference/digests_batched.json``.
 
-Resolution order: :func:`use_batching` override > ``$REPRO_BATCH`` >
-:data:`OFF` -- the same contextvar discipline as ``use_policy`` /
-``use_sharing``, so it is thread/async-safe and nests.
+The active policy resolves through :data:`BATCH_KNOB` (see
+:mod:`repro.knobs`): a :func:`use_batching` override, then
+``$REPRO_BATCH``, then :data:`OFF`.
 
 This module also owns the *lane* plumbing the batched driver uses to
 intercept model compute: each cell of a batch group runs on its own lane
@@ -30,16 +30,15 @@ and the serial code runs unchanged.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.knobs import Knob
 
 __all__ = [
     "BATCH_ENV",
+    "BATCH_KNOB",
     "BATCH_POLICIES",
     "BatchPolicy",
     "OFF",
@@ -51,9 +50,6 @@ __all__ = [
     "suspend_lane",
     "use_batching",
 ]
-
-#: Environment variable selecting the process-wide batching policy.
-BATCH_ENV = "REPRO_BATCH"
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,6 @@ BATCH_POLICIES: dict[str, BatchPolicy] = {
 
 #: Accepted spellings (environment values, CLI args).
 _ALIASES: dict[str, BatchPolicy] = {
-    "": OFF,
     "off": OFF,
     "0": OFF,
     "no": OFF,
@@ -100,44 +95,13 @@ _ALIASES: dict[str, BatchPolicy] = {
     "batched": ON,
 }
 
-_override: ContextVar[BatchPolicy | None] = ContextVar(
-    "repro_batch_policy", default=None
-)
+#: The batching knob: ``use_batching`` override > ``$REPRO_BATCH`` > off.
+BATCH_KNOB = Knob("batching policy", "REPRO_BATCH", _ALIASES, OFF)
 
-
-def resolve_batching(spec: "str | BatchPolicy | None") -> BatchPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return OFF
-    if isinstance(spec, BatchPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(BATCH_POLICIES))
-        raise ConfigurationError(
-            f"unknown batching policy {spec!r} "
-            f"(set {BATCH_ENV} to one of: {known})"
-        )
-
-
-def active_batching() -> BatchPolicy:
-    """The policy in effect: override > ``$REPRO_BATCH`` > off."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_batching(os.environ.get(BATCH_ENV))
-
-
-@contextmanager
-def use_batching(spec: "str | BatchPolicy"):
-    """Force a batching policy for the dynamic extent of the ``with`` block."""
-    policy = resolve_batching(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+BATCH_ENV = BATCH_KNOB.env
+resolve_batching = BATCH_KNOB.resolve
+active_batching = BATCH_KNOB.active
+use_batching = BATCH_KNOB.use
 
 
 # -- lane plumbing --------------------------------------------------------

@@ -8,16 +8,11 @@ workers speaking a JSON-lines protocol, ssh-able) behind a retrying
 scheduler; this module keeps the two entry points every experiment calls
 and re-exports the cell/planning names it always provided.
 
-Backend selection, in precedence order:
-
-1. an explicit ``backend=`` argument (``"serial"``, ``"process[:N]"``,
-   ``"subprocess[:N]"``, or a constructed
-   :class:`~repro.exec.backends.ExecutionBackend`);
-2. an ambient override installed with :func:`repro.exec.use_backend`
-   (what the CLI's ``--backend`` flag does);
-3. the ``REPRO_BACKEND`` environment variable;
-4. the historical default -- serial when ``jobs <= 1`` or the grid has a
-   single cell, the process pool otherwise.
+Backend selection follows :func:`repro.exec.backends.resolve_backend`:
+an explicit ``backend=`` argument (a spec string or a constructed
+:class:`~repro.exec.backends.ExecutionBackend`), else the ambient
+``REPRO_BACKEND`` knob, else serial when ``jobs <= 1`` or the grid has a
+single cell and the process pool otherwise.
 
 Whatever the transport, results are **identical** to the serial path:
 cells seed their own RNGs, shards group by stream signature so workers
@@ -48,6 +43,7 @@ from repro.exec.shard import (
     stream_signature,
     warm_model_caches,
 )
+from repro.knobs import positive_env
 from repro.numeric import active_policy, use_policy
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "plan_shards",
-    "positive_int_env",
     "run_cells",
     "stream_signature",
     "warm_model_caches",
@@ -66,29 +61,6 @@ __all__ = [
 #: Environment variable pinning the default worker count (CI, remote
 #: workers) without per-command ``--jobs`` flags.
 JOBS_ENV = "REPRO_JOBS"
-
-
-def positive_int_env(name: str) -> int | None:
-    """``$name`` as a validated positive int; None when unset/empty.
-
-    The shared parser behind every count-like knob (``REPRO_JOBS``, the
-    sweep abort injector): garbage raises :class:`ConfigurationError`
-    with a uniform message instead of silently defaulting.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {raw!r}"
-        )
-    if value < 1:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def default_jobs() -> int:
@@ -101,7 +73,7 @@ def default_jobs() -> int:
     ``os.cpu_count`` does not; oversubscribing a quota-limited container
     with host-count workers is slower than running serially.
     """
-    pinned = positive_int_env(JOBS_ENV)
+    pinned = positive_env(JOBS_ENV)
     if pinned is not None:
         return pinned
     try:

@@ -67,7 +67,6 @@ from repro.exec.scheduler import (
     execute_cells,
 )
 from repro.exec.shard import (
-    FAULT_TOKEN_ENV,
     Fig2Cell,
     ShardFailure,
     ShardQuarantined,
@@ -102,7 +101,6 @@ __all__ = [
     "DEFAULT_QUARANTINE_AFTER",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
-    "FAULT_TOKEN_ENV",
     "ExecutionBackend",
     "FaultEntry",
     "FaultPlan",

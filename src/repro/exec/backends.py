@@ -27,12 +27,12 @@ Four transports:
   workers it did not spawn, and the one external workers can attach to
   mid-sweep.
 
-Backend selection is ambient, mirroring the numeric policy: an explicit
-argument wins, then a :func:`use_backend` override, then ``$REPRO_BACKEND``,
-then the historical default (serial at ``jobs <= 1``, the process pool
-above).  Every backend produces bit-identical results at any worker count
--- cells seed their own RNGs, so *where* a shard runs can never change
-*what* it computes.
+Backend selection goes through a :class:`~repro.knobs.Knob`, like the
+numeric policy: an explicit argument wins, then a :func:`use_backend`
+override, then ``$REPRO_BACKEND``, then the historical default (serial at
+``jobs <= 1``, the process pool above).  Every backend produces
+bit-identical results at any worker count -- cells seed their own RNGs,
+so *where* a shard runs can never change *what* it computes.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -61,11 +59,13 @@ from repro.exec.shard import (
     execute_shard,
     run_spec_cells,
 )
+from repro.knobs import Knob, positive_env
 from repro.numeric import use_policy
 
 __all__ = [
     "BACKEND_ENV",
     "BACKEND_KINDS",
+    "BACKEND_KNOB",
     "WORKER_CMD_ENV",
     "ExecutionBackend",
     "ProcessPoolBackend",
@@ -76,10 +76,6 @@ __all__ = [
     "parse_backend",
     "use_backend",
 ]
-
-#: Environment variable selecting the ambient backend spec
-#: (``serial`` | ``process[:N]`` | ``subprocess[:N]`` | ``queue[:N]``).
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: Environment variable replacing the worker launch command (shlex-split);
 #: e.g. ``REPRO_WORKER_CMD="ssh edge-host python -m repro worker"``.
@@ -315,25 +311,6 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-def _shard_timeout_from_env() -> float | None:
-    raw = os.environ.get(SHARD_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARD_TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    if timeout <= 0:
-        raise ConfigurationError(
-            f"{SHARD_TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    return timeout
-
-
 class _WorkerHandle:
     """One live worker child plus its protocol channel."""
 
@@ -524,7 +501,7 @@ class SubprocessWorkerBackend:
         self.shard_timeout_s = (
             shard_timeout_s
             if shard_timeout_s is not None
-            else _shard_timeout_from_env()
+            else positive_env(SHARD_TIMEOUT_ENV, float)
         )
         self._handles: dict[int, _WorkerHandle] = {}
         self._spawned = 0
@@ -663,6 +640,25 @@ def parse_backend(spec: str) -> tuple[str, int | None]:
     return kind, workers
 
 
+def _checked_spec(spec: str) -> str:
+    parse_backend(spec)
+    return spec
+
+
+#: The backend knob: ``use_backend`` override > ``$REPRO_BACKEND`` > None,
+#: holding a ``"kind[:N]"`` spec string (see :func:`parse_backend`).
+#: None means "no preference": the caller keeps its historical rule
+#: (serial at ``jobs <= 1``, the process pool above).  The CLI's
+#: ``--backend`` installs ``use_backend`` around the whole command, so
+#: runners that simply call ``run_cells(cells, jobs=...)`` pick the
+#: transport up ambiently.
+BACKEND_KNOB = Knob("execution backend", "REPRO_BACKEND", _checked_spec)
+
+BACKEND_ENV = BACKEND_KNOB.env
+active_backend_spec = BACKEND_KNOB.active
+use_backend = BACKEND_KNOB.use
+
+
 def make_backend(
     spec: str,
     default_workers: int = 1,
@@ -713,40 +709,3 @@ def resolve_backend(backend, jobs: int, num_cells: int, queue_dir: str | None = 
         owned = False
     workers = getattr(instance, "workers", 1)
     return instance, max(1, workers), owned
-
-
-_override: ContextVar[str | None] = ContextVar(
-    "repro_exec_backend", default=None
-)
-
-
-def active_backend_spec() -> str | None:
-    """The ambient backend spec: override > ``$REPRO_BACKEND`` > None.
-
-    None means "no preference": ``run_cells`` keeps its historical rule
-    (serial at ``jobs <= 1``, the process pool above).
-    """
-    override = _override.get()
-    if override is not None:
-        return override
-    env = os.environ.get(BACKEND_ENV, "").strip()
-    if env:
-        parse_backend(env)  # fail fast on garbage in the environment
-        return env
-    return None
-
-
-@contextmanager
-def use_backend(spec: str):
-    """Force a backend spec for the dynamic extent of the ``with`` block.
-
-    The CLI's ``--backend`` flag installs one of these around the whole
-    command, so experiment runners that simply call ``run_cells(cells,
-    jobs=...)`` pick the transport up ambiently -- no per-runner plumbing.
-    """
-    parse_backend(spec)
-    token = _override.set(spec)
-    try:
-        yield spec
-    finally:
-        _override.reset(token)

@@ -58,12 +58,13 @@ from typing import Sequence
 from repro.cache import CACHE_ENV
 from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
+from repro.exec.backends import SHARD_TIMEOUT_ENV
 from repro.exec.shard import (
     ShardFailure,
     ShardSpec,
     cell_label,
-    execute_shard,
 )
+from repro.knobs import positive_env
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
@@ -104,23 +105,6 @@ QUEUE_LAYOUT_VERSION = 1
 #: that *spawned* the lease holder can notice its exit immediately
 #: instead of waiting out the heartbeat TTL.
 _WORKER_PID_RE = re.compile(r"^q(\d+)-")
-
-
-def _float_env(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        )
-    if value <= 0:
-        raise ConfigurationError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        )
-    return value
 
 
 class QueueLayout:
@@ -249,7 +233,11 @@ def queue_worker_main(
     claims it immediately instead of waiting out the heartbeat TTL --
     and the worker exits 0.
     """
-    from repro.exec.worker import GracefulShutdown, install_graceful_shutdown
+    from repro.exec.worker import (
+        GracefulShutdown,
+        install_graceful_shutdown,
+        serve_shard,
+    )
 
     install_graceful_shutdown()
     layout = QueueLayout(queue_dir)
@@ -261,20 +249,14 @@ def queue_worker_main(
         )
     config = layout.read_config()
     lease_ttl_s = (
-        _float_env(LEASE_TTL_ENV)
+        positive_env(LEASE_TTL_ENV, float)
         or config.get("lease_ttl_s")
         or DEFAULT_LEASE_TTL_S
     )
     poll_s = (
-        _float_env(POLL_ENV) or config.get("poll_s") or DEFAULT_POLL_S
+        positive_env(POLL_ENV, float) or config.get("poll_s") or DEFAULT_POLL_S
     )
-    parent_pid: int | None = None
-    raw_parent = os.environ.get(PARENT_PID_ENV, "").strip()
-    if raw_parent:
-        try:
-            parent_pid = int(raw_parent)
-        except ValueError:
-            parent_pid = None
+    parent_pid = positive_env(PARENT_PID_ENV)
 
     def orphaned() -> bool:
         if parent_pid is None:
@@ -292,9 +274,6 @@ def queue_worker_main(
     lease_dir.mkdir(parents=True, exist_ok=True)
     ban_marker = layout.banned / worker_id
     heartbeat_s = max(lease_ttl_s / 4.0, 0.02)
-    # Shards pin the cache root per-payload; remember this worker's own
-    # baseline so a cache_root-less shard falls back to it rather than
-    # inheriting whatever the previous shard pinned.
     baseline_cache_root = os.environ.get(CACHE_ENV)
 
     def claim() -> Path | None:
@@ -354,31 +333,8 @@ def queue_worker_main(
                 heartbeat = _Heartbeat(lease, heartbeat_s)
                 heartbeat.start()
                 try:
-                    spec = protocol.decode_shard_spec(message)
-                    if spec.cache_root is not None:
-                        os.environ[CACHE_ENV] = spec.cache_root
-                    elif baseline_cache_root is not None:
-                        os.environ[CACHE_ENV] = baseline_cache_root
-                    else:
-                        os.environ.pop(CACHE_ENV, None)
-                    started = time.perf_counter()
-                    (
-                        results,
-                        profile_snapshot,
-                        run_snapshot,
-                        snapshots,
-                        cluster_state,
-                    ) = execute_shard(spec)
-                    wall_s = time.perf_counter() - started
-                    reply = protocol.encode_shard_result(
-                        key, results, profile_snapshot, run_snapshot,
-                        cluster_state=cluster_state, snapshots=snapshots,
-                        wall_s=wall_s,
-                    )
+                    reply = serve_shard(message, baseline_cache_root)
                     reply["worker"] = worker_id
-                    mode = faults.reply_fault(key)
-                    if mode is not None:
-                        reply = faults.corrupt_reply(reply, mode)
                 except Exception as exc:
                     reply = {
                         "v": protocol.PROTOCOL_VERSION,
@@ -485,18 +441,17 @@ class QueueBackend:
         self.lease_ttl_s = (
             lease_ttl_s
             if lease_ttl_s is not None
-            else _float_env(LEASE_TTL_ENV) or DEFAULT_LEASE_TTL_S
+            else positive_env(LEASE_TTL_ENV, float) or DEFAULT_LEASE_TTL_S
         )
         self.poll_s = (
             poll_s if poll_s is not None
-            else _float_env(POLL_ENV) or DEFAULT_POLL_S
+            else positive_env(POLL_ENV, float) or DEFAULT_POLL_S
         )
-        if shard_timeout_s is not None:
-            self.shard_timeout_s = shard_timeout_s
-        else:
-            from repro.exec.backends import _shard_timeout_from_env
-
-            self.shard_timeout_s = _shard_timeout_from_env()
+        self.shard_timeout_s = (
+            shard_timeout_s
+            if shard_timeout_s is not None
+            else positive_env(SHARD_TIMEOUT_ENV, float)
+        )
         self.max_respawns = (
             max_respawns if max_respawns is not None else workers + 4
         )

@@ -37,7 +37,6 @@ from repro.core.snapshot import (
     stream_prefix_aligned,
 )
 from repro.core.system import RunExecution
-from repro.exec import faults
 from repro.core.runner import build_fig2_system, build_system, run_on_scenario
 from repro.data.scenarios import build_scenario
 from repro.errors import ConfigurationError, ExecutionError, SnapshotError
@@ -54,7 +53,6 @@ from repro.share.runtime import (
 )
 
 __all__ = [
-    "FAULT_TOKEN_ENV",
     "Fig2Cell",
     "ShardFailure",
     "ShardQuarantined",
@@ -65,7 +63,6 @@ __all__ = [
     "cell_batch_key",
     "cell_key",
     "cell_label",
-    "consume_fault_token",
     "execute_shard",
     "make_shard_specs",
     "note_shard_observation",
@@ -79,24 +76,6 @@ __all__ = [
     "stream_signature",
     "warm_model_caches",
 ]
-
-#: Fault-injection hook (tests, CI's kill-and-resume leg): when this
-#: variable names an existing file, the next worker to *claim* it dies.
-#: The general mechanism now lives in :mod:`repro.exec.faults`
-#: (``REPRO_FAULT_PLAN``); this single-fault hook is kept verbatim.
-FAULT_TOKEN_ENV = faults.FAULT_TOKEN_ENV
-
-
-def consume_fault_token() -> None:
-    """Die abruptly -- once, fleet-wide -- if the fault token is armed.
-
-    Workers (pool and subprocess alike) call this before executing each
-    shard.  Kept as a compatibility alias; the claim semantics (unlink =
-    atomic, exactly-once) are documented in
-    :func:`repro.exec.faults.consume_die_token`.
-    """
-    faults.consume_die_token()
-
 
 @dataclass(frozen=True)
 class SystemCell:

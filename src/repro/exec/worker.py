@@ -33,7 +33,12 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.exec import faults, protocol
 from repro.exec.shard import execute_shard
 
-__all__ = ["GracefulShutdown", "install_graceful_shutdown", "worker_main"]
+__all__ = [
+    "GracefulShutdown",
+    "install_graceful_shutdown",
+    "serve_shard",
+    "worker_main",
+]
 
 
 class GracefulShutdown(BaseException):
@@ -61,6 +66,42 @@ def install_graceful_shutdown() -> None:
             signal.signal(signum, handler)
         except ValueError:
             return
+
+
+def serve_shard(message: dict, baseline_cache_root: str | None) -> dict:
+    """Execute one ``shard`` message and return its encoded reply.
+
+    The body both worker loops share.  The payload's cache root is pinned
+    so a shared-FS fleet reads one content-addressed store; a shard
+    without one falls back to the worker's own ``baseline_cache_root``
+    rather than inheriting whatever the previous shard pinned.  An armed
+    ``corrupt-result`` fault mangles the reply here.  Exceptions
+    propagate: each loop turns them into its own ``error`` reply.
+    """
+    spec = protocol.decode_shard_spec(message)
+    if spec.cache_root is not None:
+        os.environ[CACHE_ENV] = spec.cache_root
+    elif baseline_cache_root is not None:
+        os.environ[CACHE_ENV] = baseline_cache_root
+    else:
+        os.environ.pop(CACHE_ENV, None)
+    started = time.perf_counter()
+    (
+        results,
+        profile_snapshot,
+        run_snapshot,
+        snapshots,
+        cluster_state,
+    ) = execute_shard(spec)
+    wall_s = time.perf_counter() - started
+    reply = protocol.encode_shard_result(
+        spec.key, results, profile_snapshot, run_snapshot,
+        cluster_state=cluster_state, snapshots=snapshots, wall_s=wall_s,
+    )
+    mode = faults.reply_fault(spec.key)
+    if mode is not None:
+        reply = faults.corrupt_reply(reply, mode)
+    return reply
 
 
 def worker_main(argv: list[str] | None = None) -> int:
@@ -117,9 +158,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     # degrade to log noise instead of corrupting the message stream.
     sys.stdout = sys.stderr
     os.dup2(sys.stderr.fileno(), 1)
-    # Shards pin the cache root per-payload; remember the worker's own
-    # baseline so a cache_root-less shard falls back to it rather than
-    # inheriting whatever the previous shard pinned.
     baseline_cache_root = os.environ.get(CACHE_ENV)
     protocol.write_message(
         channel,
@@ -150,25 +188,7 @@ def worker_main(argv: list[str] | None = None) -> int:
                 continue
             faults.on_claim(str(message.get("id") or ""))
             try:
-                spec = protocol.decode_shard_spec(message)
-                if spec.cache_root is not None:
-                    # The payload pins the parent's artifact-cache root
-                    # so a shared-FS fleet reads one content-addressed
-                    # store.
-                    os.environ[CACHE_ENV] = spec.cache_root
-                elif baseline_cache_root is not None:
-                    os.environ[CACHE_ENV] = baseline_cache_root
-                else:
-                    os.environ.pop(CACHE_ENV, None)
-                started = time.perf_counter()
-                (
-                    results,
-                    profile_snapshot,
-                    run_snapshot,
-                    snapshots,
-                    cluster_state,
-                ) = execute_shard(spec)
-                wall_s = time.perf_counter() - started
+                reply = serve_shard(message, baseline_cache_root)
             except Exception as exc:
                 send_error(
                     channel, message.get("id"),
@@ -176,14 +196,6 @@ def worker_main(argv: list[str] | None = None) -> int:
                     traceback.format_exc(),
                 )
                 continue
-            reply = protocol.encode_shard_result(
-                spec.key, results, profile_snapshot, run_snapshot,
-                cluster_state=cluster_state, snapshots=snapshots,
-                wall_s=wall_s,
-            )
-            mode = faults.reply_fault(spec.key)
-            if mode is not None:
-                reply = faults.corrupt_reply(reply, mode)
             protocol.write_message(channel, reply)
     except GracefulShutdown:
         # SIGTERM/SIGINT: release the current shard (no reply -- the

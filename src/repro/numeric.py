@@ -14,14 +14,11 @@ built around).  This module makes the dtype an explicit *policy* object:
   float32; it has its *own* frozen reference digests and accuracy-delta
   bounds against float64.
 
-Resolution order for the active policy:
-
-1. an ambient override installed with :func:`use_policy` (a
-   :class:`contextvars.ContextVar`, so it nests and is async/thread-safe);
-2. the ``REPRO_DTYPE`` environment variable (re-read per call so tests can
-   repoint it with a plain ``monkeypatch.setenv``; parsing is one dict
-   lookup);
-3. :data:`FLOAT64`.
+The active policy resolves through :data:`DTYPE_KNOB` (see
+:mod:`repro.knobs`): a :func:`use_policy` override, then
+``$REPRO_DTYPE``, then :data:`FLOAT64`.  Benchmarks use the override for
+the float64/float32 A/B; tests use it to parametrize over both policies in
+one process.
 
 Layering contract: the *data-producing* layers (streams, proxy models,
 buffers, caches) consult :func:`active_policy` when they allocate, and from
@@ -35,17 +32,15 @@ each such site is documented where it lives.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.knobs import Knob
 
 __all__ = [
     "DTYPE_ENV",
+    "DTYPE_KNOB",
     "FLOAT32",
     "FLOAT64",
     "POLICIES",
@@ -55,9 +50,6 @@ __all__ = [
     "resolve_policy",
     "use_policy",
 ]
-
-#: Environment variable selecting the process-wide policy.
-DTYPE_ENV = "REPRO_DTYPE"
 
 #: The float dtypes arrays are allowed to flow through the numeric layers
 #: in; anything else is cast (never silently upcast between these two).
@@ -134,7 +126,6 @@ POLICIES: dict[str, NumericPolicy] = {
 
 #: Accepted spellings for each policy (environment values, CLI args).
 _ALIASES: dict[str, NumericPolicy] = {
-    "": FLOAT64,
     "float64": FLOAT64,
     "fp64": FLOAT64,
     "f64": FLOAT64,
@@ -147,49 +138,13 @@ _ALIASES: dict[str, NumericPolicy] = {
     "single": FLOAT32,
 }
 
-_override: ContextVar[NumericPolicy | None] = ContextVar(
-    "repro_numeric_policy", default=None
-)
+#: The dtype knob: ``use_policy`` override > ``$REPRO_DTYPE`` > float64.
+DTYPE_KNOB = Knob("numeric policy", "REPRO_DTYPE", _ALIASES, FLOAT64)
 
-
-def resolve_policy(spec: "str | NumericPolicy | None") -> NumericPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return FLOAT64
-    if isinstance(spec, NumericPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(POLICIES))
-        raise ConfigurationError(
-            f"unknown numeric policy {spec!r} "
-            f"(set {DTYPE_ENV} to one of: {known})"
-        )
-
-
-def active_policy() -> NumericPolicy:
-    """The policy in effect: override > ``$REPRO_DTYPE`` > float64."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_policy(os.environ.get(DTYPE_ENV))
-
-
-@contextmanager
-def use_policy(spec: "str | NumericPolicy"):
-    """Force a policy for the dynamic extent of the ``with`` block.
-
-    Nests (the previous override is restored on exit) and takes precedence
-    over the environment.  Benchmarks use this for the float64/float32 A/B;
-    tests use it to parametrize over both policies in one process.
-    """
-    policy = resolve_policy(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+DTYPE_ENV = DTYPE_KNOB.env
+resolve_policy = DTYPE_KNOB.resolve
+active_policy = DTYPE_KNOB.active
+use_policy = DTYPE_KNOB.use
 
 
 def ensure_float(values) -> np.ndarray:

@@ -34,8 +34,8 @@ and recomputes at most one window.  The contract is bit-identity, never
 best-effort: a snapshot that fails validation (version bump, policy or
 seed mismatch, unaligned stream prefix) is discarded and the window
 falls back to a full prefix run -- identical output, just slower.
-``window_mode="prefix"`` (or ``REPRO_WINDOW_MODE=prefix``) disables
-snapshots entirely and restores the pure stateless dispatch.
+``window_mode="prefix"`` disables snapshots entirely; it is kept as the
+tests' oracle for the incremental path, not as a serving mode.
 
 **Threads.**  The supervisor loop owns all state and runs in the calling
 thread.  A dispatcher thread feeds batches of window shards through the
@@ -127,12 +127,8 @@ __all__ = [
     "FleetService",
     "ServiceConfig",
     "StreamState",
-    "WINDOW_MODE_ENV",
     "WINDOW_MODES",
 ]
-
-WINDOW_MODE_ENV = "REPRO_WINDOW_MODE"
-"""Environment default for :attr:`ServiceConfig.window_mode`."""
 
 WINDOW_MODES = ("incremental", "prefix")
 
@@ -167,9 +163,8 @@ class ServiceConfig:
             swamp the dispatch layer.
         window_mode: ``"incremental"`` (resume each window from its
             predecessor's run-state snapshot; O(window) per window) or
-            ``"prefix"`` (stateless full-prefix recompute).  ``None``
-            reads ``$REPRO_WINDOW_MODE``, defaulting to incremental.
-            Both modes journal byte-identical window records.
+            ``"prefix"`` (stateless full-prefix recompute, the tests'
+            oracle).  Both modes journal byte-identical window records.
     """
 
     out_dir: str | Path
@@ -184,16 +179,12 @@ class ServiceConfig:
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     max_inflight: int | None = None
-    window_mode: str | None = None
+    window_mode: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ConfigurationError(
                 f"window_s must be positive, got {self.window_s!r}"
-            )
-        if self.window_mode is None:
-            self.window_mode = (
-                os.environ.get(WINDOW_MODE_ENV, "").strip() or "incremental"
             )
         if self.window_mode not in WINDOW_MODES:
             raise ConfigurationError(

@@ -3,7 +3,7 @@
 Sharing changes *what work runs* (which teacher labelings and student
 retrains actually execute), so unlike the numeric policy it can never be a
 silent default: the frozen reference digests were all taken with every cell
-independent.  This module mirrors :mod:`repro.numeric` exactly --
+independent.  Like :mod:`repro.numeric`, it offers two policies --
 
 - :data:`OFF` -- the default.  Every (scenario, seed) cell is executed
   independently; the path is bit-identical to the frozen reference digests
@@ -16,33 +16,28 @@ independent.  This module mirrors :mod:`repro.numeric` exactly --
   weight delta, and diverged deltas are merged DAM-style.  This path
   freezes its *own* digests (``tests/reference/digests_sharing.json``).
 
-Resolution order: :func:`use_sharing` override > ``$REPRO_SHARING`` >
-:data:`OFF` -- the same contextvar discipline as ``use_policy``, so it is
-thread/async-safe and nests.
+The active policy resolves through :data:`SHARING_KNOB` (see
+:mod:`repro.knobs`): a :func:`use_sharing` override, then
+``$REPRO_SHARING``, then :data:`OFF`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.knobs import Knob
 
 __all__ = [
     "CLUSTER",
     "OFF",
     "SHARING_ENV",
+    "SHARING_KNOB",
     "SHARING_POLICIES",
     "SharingPolicy",
     "active_sharing",
     "resolve_sharing",
     "use_sharing",
 ]
-
-#: Environment variable selecting the process-wide sharing policy.
-SHARING_ENV = "REPRO_SHARING"
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,6 @@ SHARING_POLICIES: dict[str, SharingPolicy] = {
 
 #: Accepted spellings (environment values, CLI args, spec keys).
 _ALIASES: dict[str, SharingPolicy] = {
-    "": OFF,
     "off": OFF,
     "0": OFF,
     "no": OFF,
@@ -127,41 +121,10 @@ _ALIASES: dict[str, SharingPolicy] = {
     "shared": CLUSTER,
 }
 
-_override: ContextVar[SharingPolicy | None] = ContextVar(
-    "repro_sharing_policy", default=None
-)
+#: The sharing knob: ``use_sharing`` override > ``$REPRO_SHARING`` > off.
+SHARING_KNOB = Knob("sharing policy", "REPRO_SHARING", _ALIASES, OFF)
 
-
-def resolve_sharing(spec: "str | SharingPolicy | None") -> SharingPolicy:
-    """A policy from a name/alias, an existing policy, or None (default)."""
-    if spec is None:
-        return OFF
-    if isinstance(spec, SharingPolicy):
-        return spec
-    try:
-        return _ALIASES[spec.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(SHARING_POLICIES))
-        raise ConfigurationError(
-            f"unknown sharing policy {spec!r} "
-            f"(set {SHARING_ENV} to one of: {known})"
-        )
-
-
-def active_sharing() -> SharingPolicy:
-    """The policy in effect: override > ``$REPRO_SHARING`` > off."""
-    override = _override.get()
-    if override is not None:
-        return override
-    return resolve_sharing(os.environ.get(SHARING_ENV))
-
-
-@contextmanager
-def use_sharing(spec: "str | SharingPolicy"):
-    """Force a sharing policy for the dynamic extent of the ``with`` block."""
-    policy = resolve_sharing(spec)
-    token = _override.set(policy)
-    try:
-        yield policy
-    finally:
-        _override.reset(token)
+SHARING_ENV = SHARING_KNOB.env
+resolve_sharing = SHARING_KNOB.resolve
+active_sharing = SHARING_KNOB.active
+use_sharing = SHARING_KNOB.use

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from repro.core.parallel import default_jobs, positive_int_env
+from repro.core.parallel import default_jobs
 from repro.errors import ConfigurationError
 from repro.exec import (
     ShardFailure,
@@ -35,6 +35,7 @@ from repro.exec import (
 )
 from repro.exec.backends import resolve_backend
 from repro.experiments.reporting import ExperimentResult, format_table
+from repro.knobs import positive_env
 from repro.numeric import use_policy
 from repro.share.cluster import cluster_cells
 from repro.share.policy import active_sharing
@@ -153,7 +154,7 @@ def run_sweep(
             resume=resume,
         )
 
-    abort_after = positive_int_env(ABORT_ENV)
+    abort_after = positive_env(ABORT_ENV)
     completed_shards = 0
 
     def on_complete(shard_spec, shard_result):

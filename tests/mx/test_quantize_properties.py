@@ -49,9 +49,11 @@ def test_round_trip_preserves_shape(x, fmt):
     assert quantize(x, fmt).shape == x.shape
 
 
-@given(vectors, formats)
+@given(unclamped_vectors, formats)
 @settings(max_examples=200, deadline=None)
 def test_quantization_is_idempotent(x, fmt):
+    # Bounded above the shared-exponent clamp: below it a block's grid can
+    # shift between passes (pinned by test_clamped_block_is_not_idempotent).
     once = quantize(x, fmt)
     np.testing.assert_array_equal(quantize(once, fmt), once)
 
@@ -124,6 +126,22 @@ def test_clamped_binade_saturates():
     np.testing.assert_array_equal(
         quantize(2.0 * safe, MX4), 2.0 * quantize(safe, MX4)
     )
+
+
+def test_clamped_block_is_not_idempotent():
+    # Regression for test_quantization_is_idempotent: a block whose largest
+    # element sits in the clamped binade quantizes to a smaller value, and
+    # the second pass rounds that one to zero.  The fused kernel and the
+    # encode/decode reference agree on both passes; idempotence itself does
+    # not hold below the clamp.
+    x = np.array([1.16e-308, 3.20e-39])
+    once = quantize(x, MX4)
+    twice = quantize(once, MX4)
+    assert once[0] == 0.0 and 0.0 < once[1] < x[1]
+    np.testing.assert_array_equal(twice, [0.0, 0.0])
+    for value, result in ((x, once), (once, twice)):
+        reference = dequantize(quantize_blocks(value, MX4))
+        assert result.tobytes() == reference.tobytes()
 
 
 #: Magnitudes that clamp the shared exponent at MIN_SHARED_EXPONENT: zeros,

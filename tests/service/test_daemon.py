@@ -240,9 +240,8 @@ class TestCrashRecovery:
     def test_incremental_kill_restart_resumes_from_snapshot(
         self, tmp_path, backend
     ):
-        env = {"REPRO_WINDOW_MODE": "incremental"}
         clean = tmp_path / "clean"
-        r = serve_child(clean, extra_env=env, script=CHILD_ALIGNED)
+        r = serve_child(clean, script=CHILD_ALIGNED)
         assert r.returncode == 0, r.stderr
 
         chaos = tmp_path / "chaos"
@@ -251,7 +250,7 @@ class TestCrashRecovery:
             FaultPlan(entries=(FaultEntry(kind="daemon-kill", match="|w1"),)),
             plan_path,
         )
-        chaos_env = dict(env, REPRO_FAULT_PLAN=str(plan_path))
+        chaos_env = {"REPRO_FAULT_PLAN": str(plan_path)}
         first = serve_child(chaos, backend, chaos_env, script=CHILD_ALIGNED)
         assert first.returncode == DIE_EXIT_CODE, first.stderr
         pre = [

@@ -66,11 +66,6 @@ class TestResolution:
         monkeypatch.setenv(DTYPE_ENV, spelling)
         assert active_policy() is expected
 
-    def test_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv(DTYPE_ENV, "float16")
-        with pytest.raises(ConfigurationError):
-            active_policy()
-
     def test_override_beats_env_and_nests(self, monkeypatch):
         monkeypatch.setenv(DTYPE_ENV, "float64")
         with use_policy("float32"):
